@@ -12,7 +12,10 @@
 // the gate on machine variance); benchmarks with no baseline entry are
 // reported as new and never gated, and entries tagged "degraded"
 // (recorded under solver-fault injection or a solve deadline, see
-// ffcbench -inject-solver) are ignored on both sides. With -record the
+// ffcbench -inject-solver) are ignored on both sides. Baseline entries no
+// benchmark in this run produced are listed as missing, so a renamed or
+// deleted benchmark visibly loses its gate; they never fail the gate,
+// because CI runs only a subset of the benchmarks. With -record the
 // compare step is skipped — use it to (re)generate a baseline file.
 package main
 
@@ -84,14 +87,17 @@ func main() {
 		return
 	}
 
-	regs, matched, unmatched, ignored := obs.CompareBench(bases, cur, *maxRatio)
-	fmt.Printf("gate: %d benchmarks matched a baseline, %d new, %d degraded (ignored)\n",
-		len(matched), len(unmatched), len(ignored))
+	regs, matched, unmatched, ignored, missing := obs.CompareBench(bases, cur, *maxRatio)
+	fmt.Printf("gate: %d benchmarks matched a baseline, %d new, %d degraded (ignored), %d baseline entries not run\n",
+		len(matched), len(unmatched), len(ignored), len(missing))
 	for _, n := range unmatched {
 		fmt.Printf("  new (not gated): %s\n", n)
 	}
 	for _, n := range ignored {
 		fmt.Printf("  degraded (not gated): %s\n", n)
+	}
+	for _, n := range missing {
+		fmt.Printf("  missing (not run): %s\n", n)
 	}
 	if len(regs) == 0 {
 		fmt.Printf("OK: no benchmark exceeded %.1fx its baseline\n", *maxRatio)

@@ -9,7 +9,7 @@
 //
 // Output is text: aligned tables for bar/line figures and "x y" series for
 // CDFs, labelled with the corresponding paper artifact. With -stats the
-// run additionally times an S-Net-style verify/solve micro-pass and writes
+// run additionally times an S-Net-style solve micro-pass and writes
 // machine-readable BENCH_<net>.json (see internal/obs) — the same format
 // the CI perf gate (cmd/benchgate) consumes.
 package main
@@ -34,7 +34,6 @@ import (
 	"ffc/internal/obs"
 	"ffc/internal/parallel"
 	"ffc/internal/sim"
-	"ffc/internal/topology"
 )
 
 var allExperiments = []string{
@@ -55,7 +54,7 @@ func main() {
 		warm       = flag.Bool("warm", false, "warm-start serial interval re-solves from the previous basis across the harness")
 		template   = flag.Bool("template", true, "reuse LP model templates across interval re-solves (rebind bounds/RHS instead of re-formulating); -template=false forces scratch builds")
 		compare    = flag.Bool("compare-serial", false, "after the run, repeat with -parallel 1 and print a wall-clock speedup table")
-		stats      = flag.Bool("stats", false, "enable instrumentation: print solver counters and a latency breakdown, run a verify/solve micro-benchmark, and write BENCH_<net>.json")
+		stats      = flag.Bool("stats", false, "enable instrumentation: print solver counters and a latency breakdown, run a solve micro-benchmark, and write BENCH_<net>.json")
 		benchJSON  = flag.String("bench-json", "", "override the BENCH output path (default BENCH_<net>.json per environment; implies -stats semantics for the file)")
 		debugAddr  = flag.String("debug-addr", "", "serve /debug/pprof, /debug/vars and /debug/obs on this address (e.g. localhost:6060)")
 		deadline   = flag.Duration("solver-deadline", 0, "per-interval TE solve budget across the harness; a missed solve degrades the interval to the last-good plan (0 = unbounded)")
@@ -228,7 +227,7 @@ func main() {
 					fmt.Fprintln(os.Stderr, "-bench-json ignored: multiple environments, writing per-env BENCH files")
 				}
 			}
-			bf, err := statsPass(env, &parTimes, serTimes, workers)
+			bf, err := statsPass(env, &parTimes, serTimes)
 			if err != nil {
 				fatalf("stats micro-benchmark (%s): %v", env.Name, err)
 			}
@@ -254,40 +253,12 @@ func envLabel(env *experiments.Env) string {
 	return strings.ToLower(strings.ReplaceAll(env.Name, "-", ""))
 }
 
-func envTag(env *experiments.Env) string {
-	return strings.ReplaceAll(env.Name, "-", "")
-}
-
-// numFaultCases counts link-failure combinations of size 0..ke over the
-// physical links — the data-plane verifier's enumeration size.
-func numFaultCases(net *topology.Network, ke int) int64 {
-	phys := 0
-	for _, l := range net.Links {
-		if l.Twin == topology.None || l.ID < l.Twin {
-			phys++
-		}
-	}
-	total, choose := int64(0), int64(1)
-	for s := 0; s <= ke; s++ {
-		if s > 0 {
-			choose = choose * int64(phys-s+1) / int64(s)
-		}
-		total += choose
-	}
-	return total
-}
-
 // statsPass runs the instrumented micro-benchmark behind -stats: one plain
-// and one FFC (ke=2) TE solve, then the ke=2 data-plane verification both
-// serially and in parallel — the same workload as the repo's
-// BenchmarkVerifyDataPlaneSNet, with matching normalized names so the CI
-// gate compares them directly. Experiment wall-clock timings from the main
+// and one FFC (ke=2) TE solve, warm vs cold interval re-solves, and cold
+// vs template model builds. Experiment wall-clock timings from the main
 // pass (and the -compare-serial speedups, when present) ride along.
-// workers is the effective -parallel value: at 1 the run is serial, so the
-// "parallel" verify leg would repeat the serial one and is skipped.
-func statsPass(env *experiments.Env, parTimes, serTimes *metrics.Stopwatch, workers int) (*obs.BenchFile, error) {
+func statsPass(env *experiments.Env, parTimes, serTimes *metrics.Stopwatch) (*obs.BenchFile, error) {
 	const ke = 2
-	tag := envTag(env)
 	fmt.Fprintf(os.Stderr, "stats micro-benchmark on %s (ke=%d)...\n", env.Name, ke)
 	solver := core.NewSolver(env.Net, env.Tun, env.Opts)
 	demands := sim.ScaleSeries(env.Series, env.Scale1)[0]
@@ -296,7 +267,7 @@ func statsPass(env *experiments.Env, parTimes, serTimes *metrics.Stopwatch, work
 
 	// Plain TE solve.
 	t0 := time.Now()
-	st, plainStats, err := solver.Solve(core.Input{Demands: demands})
+	_, plainStats, err := solver.Solve(core.Input{Demands: demands})
 	if err != nil {
 		return nil, err
 	}
@@ -428,30 +399,6 @@ func statsPass(env *experiments.Env, parTimes, serTimes *metrics.Stopwatch, work
 	fmt.Fprintf(os.Stderr, "  modelbuild ×%d (ke=%d, %d vars, %d cons): cold %v  warm %v  (%.2fx)\n",
 		n, ke, tmpl.Vars(), tmpl.Constraints(), buildCold.Round(time.Millisecond), buildWarm.Round(time.Millisecond),
 		metrics.Speedup(buildCold, buildWarm))
-
-	// Data-plane verification, serial then parallel, on the plain state —
-	// the repo benchmark's workload (BenchmarkVerifyDataPlaneSNet). With
-	// -parallel=1 the parallel leg would be the serial leg re-run under
-	// another name, so only the serial entry is emitted.
-	cases := numFaultCases(env.Net, ke)
-	t0 = time.Now()
-	core.VerifyDataPlaneN(env.Net, env.Tun, st, ke, 0, nil, 1)
-	serial := time.Since(t0)
-	bf.Benchmarks = append(bf.Benchmarks,
-		obs.BenchEntry{Name: "VerifyDataPlane" + tag + "/serial", NsPerOp: float64(serial.Nanoseconds()), Ops: 1, Cases: cases})
-	if workers == 1 {
-		fmt.Fprintf(os.Stderr, "  verify(ke=%d, %d cases): serial %v  (parallel leg skipped at -parallel=1)\n",
-			ke, cases, serial.Round(time.Millisecond))
-	} else {
-		t0 = time.Now()
-		core.VerifyDataPlaneN(env.Net, env.Tun, st, ke, 0, nil, workers)
-		par := time.Since(t0)
-		bf.Benchmarks = append(bf.Benchmarks,
-			obs.BenchEntry{Name: "VerifyDataPlane" + tag + "/parallel", NsPerOp: float64(par.Nanoseconds()), Ops: 1, Cases: cases,
-				Speedup: metrics.Speedup(serial, par)})
-		fmt.Fprintf(os.Stderr, "  verify(ke=%d, %d cases): serial %v  parallel %v  speedup %.2fx\n",
-			ke, cases, serial.Round(time.Millisecond), par.Round(time.Millisecond), metrics.Speedup(serial, par))
-	}
 
 	// Experiment wall-clock from the main pass, with serial/parallel
 	// speedups when -compare-serial ran.

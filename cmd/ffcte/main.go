@@ -6,8 +6,10 @@
 //
 // With -prev it computes relative to an existing configuration (required
 // for kc > 0; the previous state file must have been produced by ffcte on
-// the same topology). With -verify it exhaustively checks the result
-// against every fault combination at the protection level before printing.
+// the same topology). With -verify it certifies the result with the
+// independent certifier (internal/check) by exact enumeration of every
+// fault combination at the protection level before printing, and exits 1
+// on a violation.
 package main
 
 import (
@@ -17,6 +19,7 @@ import (
 	"os"
 	"time"
 
+	"ffc/internal/check"
 	"ffc/internal/core"
 	"ffc/internal/obs"
 	"ffc/internal/topology"
@@ -37,11 +40,11 @@ func main() {
 		q          = flag.Int("q", 3, "max tunnels of a flow per intermediate switch")
 		encoding   = flag.String("encoding", "sortnet", "bounded M-sum encoding: sortnet, compact, naive")
 		objective  = flag.String("objective", "throughput", "objective: throughput, mlu, maxmin")
-		verifyFlag = flag.Bool("verify", false, "exhaustively verify the guarantee (small networks)")
+		verifyFlag = flag.Bool("verify", false, "certify the guarantee by exact enumeration (small networks); exit 1 on a violation")
 		warm       = flag.Bool("warm", false, "warm-start successive LP solves from the previous basis (used by -objective maxmin's iterations)")
 		template   = flag.Bool("template", true, "reuse the LP model template across -objective maxmin's iterations; -template=false forces scratch builds")
-		par        = flag.Int("parallel", 0, "verification and LP constraint-emission workers (<=0 = all cores, 1 = serial)")
-		statsFlag  = flag.Bool("stats", false, "print the solver/verifier counter and latency breakdown to stderr")
+		par        = flag.Int("parallel", 0, "LP constraint-emission workers (<=0 = all cores, 1 = serial)")
+		statsFlag  = flag.Bool("stats", false, "print the solver counter and latency breakdown to stderr")
 		debugAddr  = flag.String("debug-addr", "", "serve /debug/pprof, /debug/vars and /debug/obs on this address")
 		deadline   = flag.Duration("solver-deadline", 0, "solve budget; on a budget hit the best feasible configuration found so far is emitted with a warning (0 = unbounded)")
 		injectKind = flag.String("inject-solver", "", "inject a controller fault for testing: timeout (start with the budget expired) or crash (panic inside the simplex)")
@@ -154,15 +157,14 @@ func main() {
 	}
 
 	if *verifyFlag {
-		if v := core.VerifyDataPlaneN(&net, set, st, prot.Ke, prot.Kv, nil, *par); v != nil {
-			fatalf("verification failed (data plane): %+v", v)
+		cert, err := check.Certify(&net, set, st, prev, check.Params{Prot: prot, RateLimiter: opts.RateLimiter, Mode: check.Exact})
+		if err != nil {
+			fatalf("verify: %v", err)
 		}
-		if prot.Kc > 0 {
-			if v := core.VerifyControlPlaneN(&net, set, st, prev, prot.Kc, opts.RateLimiter, nil, *par); v != nil {
-				fatalf("verification failed (control plane): %+v", v)
-			}
+		if !cert.OK {
+			fatalf("verification failed: %s", cert.Summary())
 		}
-		fmt.Fprintln(os.Stderr, "verification passed: congestion-free under all fault cases at", prot)
+		fmt.Fprintln(os.Stderr, "verification passed:", cert.Summary())
 	}
 
 	fmt.Fprintf(os.Stderr, "solved: %d vars, %d constraints, %d iterations, %v; throughput %.4g/%.4g\n",

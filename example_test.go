@@ -8,7 +8,7 @@ import (
 )
 
 // Example computes an FFC-protected traffic distribution on the paper's
-// 4-switch walkthrough network and verifies the guarantee exhaustively.
+// 4-switch walkthrough network and certifies the guarantee exactly.
 func Example() {
 	net := ffc.Example4Topology()
 	s2, _ := net.SwitchByName("s2")
@@ -25,10 +25,11 @@ func Example() {
 	plain, _, _ := ctl.Compute(demands, ffc.NoProtection)
 	protected, _, _ := ctl.Compute(demands, ffc.Protection{Ke: 1})
 
-	fmt.Printf("plain: %.0f units, 1-link safe: %v\n",
-		plain.TotalRate(), ctl.VerifyDataPlane(plain, 1, 0) == nil)
-	fmt.Printf("FFC:   %.0f units, 1-link safe: %v\n",
-		protected.TotalRate(), ctl.VerifyDataPlane(protected, 1, 0) == nil)
+	plainCert, _ := ctl.Certify(plain, ffc.Protection{Ke: 1})
+	ffcCert, _ := ctl.Certify(protected, ffc.Protection{Ke: 1})
+
+	fmt.Printf("plain: %.0f units, 1-link safe: %v\n", plain.TotalRate(), plainCert.OK)
+	fmt.Printf("FFC:   %.0f units, 1-link safe: %v\n", protected.TotalRate(), ffcCert.OK)
 	// Output:
 	// plain: 20 units, 1-link safe: false
 	// FFC:   10 units, 1-link safe: true

@@ -59,8 +59,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		safe := ctl.VerifyControlPlane(st, kc) == nil
-		fmt.Printf("kc=%d: admit %.0f units of s1→s4 (total %.0f, exhaustive %d-stale-switch check: %v)\n",
+		cert, err := ctl.Certify(st, ffc.Protection{Kc: kc})
+		if err != nil {
+			log.Fatal(err)
+		}
+		safe := cert.OK
+		fmt.Printf("kc=%d: admit %.0f units of s1→s4 (total %.0f, exact %d-stale-switch certificate: %v)\n",
 			kc, st.Rate[f14], st.TotalRate(), kc, safe)
 	}
 	fmt.Println("\npaper's Figure 5: 10 units unprotected, 7 with kc=1, 4 with kc=2")
@@ -71,7 +75,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if v := ctl.VerifyControlPlane(plain, 1); v != nil {
-		fmt.Printf("\nunprotected plan under one stale switch: %s overloads by %.1f units\n", v.Case, v.Over)
+	cert, err := ctl.Certify(plain, ffc.Protection{Kc: 1})
+	if err != nil {
+		log.Fatal(err)
+	}
+	if v := cert.Violation; v != nil {
+		fmt.Printf("\nunprotected plan under one stale switch: stale=%v overloads %s by %.1f units\n",
+			v.Faults.StaleNames, v.LinkName, v.Over)
 	}
 }

@@ -59,8 +59,12 @@ func main() {
 	fmt.Printf("  total granted: %.1f\n\n", grand)
 
 	// The headline property: the high class survives worst-case faults.
-	if v := ctl.VerifyDataPlane(states[0].State, 1, 0); v != nil {
-		log.Fatalf("high class not 1-link safe: %+v", v)
+	cert, err := ctl.Certify(states[0].State, ffc.Protection{Ke: 1})
+	if err != nil {
+		log.Fatal(err)
+	}
+	if !cert.OK {
+		log.Fatalf("high class not 1-link safe: %s", cert.Summary())
 	}
 	fmt.Println("high class verified congestion-free under every single link failure;")
 	fmt.Println("low class uses the reserved headroom and is shed first by priority queueing when faults strike")

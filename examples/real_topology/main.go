@@ -53,7 +53,11 @@ func main() {
 		}
 		safe := "n/a"
 		if prot.Ke > 0 {
-			if v := ctl.VerifyDataPlane(st, prot.Ke, 0); v == nil {
+			cert, err := ctl.Certify(st, prot)
+			if err != nil {
+				log.Fatal(err)
+			}
+			if cert.OK {
 				safe = "verified"
 			} else {
 				safe = "VIOLATED"

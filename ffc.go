@@ -31,6 +31,7 @@ import (
 	"io"
 	"math/rand"
 
+	"ffc/internal/check"
 	"ffc/internal/core"
 	"ffc/internal/demand"
 	"ffc/internal/topology"
@@ -72,8 +73,9 @@ type (
 	Uncertain = core.Uncertain
 	// UpdatePlan is a chain of congestion-free intermediate states (§5.2).
 	UpdatePlan = core.UpdatePlan
-	// Violation reports a fault case that breaks a guarantee.
-	Violation = core.Violation
+	// Certificate is a certification verdict: OK, the worst residual
+	// slack, and the worst violating fault set if any.
+	Certificate = check.Certificate
 )
 
 // Encoding constants (how bounded-M-sum constraints are emitted).
@@ -230,17 +232,16 @@ func (c *Controller) PlanUpdate(target *State, kc, maxSteps int) (*UpdatePlan, e
 	return c.solver.PlanUpdate(c.current, target, kc, maxSteps)
 }
 
-// VerifyDataPlane exhaustively checks st against every combination of up to
-// ke link and kv switch failures; nil means the guarantee holds.
+// Certify proves st congestion-free under every combination of up to
+// prot.Kc ingresses stuck on the installed configuration, prot.Ke link
+// failures and prot.Kv switch failures, by exact enumeration with the
+// independent certifier (internal/check) under the solver's rate-limiter
+// model. cert.OK is the verdict; cert.Violation is the worst overload.
 // Exponential in (ke, kv): intended for tests and small networks.
-func (c *Controller) VerifyDataPlane(st *State, ke, kv int) *Violation {
-	return core.VerifyDataPlane(c.net, c.tun, st, ke, kv, nil)
-}
-
-// VerifyControlPlane exhaustively checks st against every set of up to kc
-// stale switches relative to the installed configuration.
-func (c *Controller) VerifyControlPlane(st *State, kc int) *Violation {
-	return core.VerifyControlPlane(c.net, c.tun, st, c.current, kc, c.solver.Opts.RateLimiter, nil)
+func (c *Controller) Certify(st *State, prot Protection) (*Certificate, error) {
+	return check.Certify(c.net, c.tun, st, c.current, check.Params{
+		Prot: prot, RateLimiter: c.solver.Opts.RateLimiter, Mode: check.Exact,
+	})
 }
 
 // DemandUncertainty re-exports the §9 demand-misprediction protection for

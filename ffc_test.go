@@ -22,6 +22,16 @@ func exampleController(t *testing.T) (*Controller, Flow, Flow, Flow) {
 	return ctl, f24, f34, f14
 }
 
+// certify runs ctl.Certify and fails the test on a certification error.
+func certify(t *testing.T, ctl *Controller, st *State, prot Protection) *Certificate {
+	t.Helper()
+	cert, err := ctl.Certify(st, prot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cert
+}
+
 func TestControllerComputeInstall(t *testing.T) {
 	ctl, f24, f34, _ := exampleController(t)
 	st, stats, err := ctl.Compute(Demands{f24: 10, f34: 10}, NoProtection)
@@ -51,14 +61,14 @@ func TestControllerFFCGuarantee(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := ctl.VerifyDataPlane(st, 1, 0); v != nil {
-		t.Fatalf("guarantee violated: %+v", v)
+	if cert := certify(t, ctl, st, Protection{Ke: 1}); !cert.OK {
+		t.Fatalf("guarantee violated: %s", cert.Summary())
 	}
 	plain, _, err := ctl.Compute(Demands{f24: 14, f34: 6}, NoProtection)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := ctl.VerifyDataPlane(plain, 1, 0); v == nil {
+	if certify(t, ctl, plain, Protection{Ke: 1}).OK {
 		t.Fatal("plain TE unexpectedly 1-link safe")
 	}
 }
@@ -74,8 +84,8 @@ func TestControllerControlPlane(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := ctl.VerifyControlPlane(st, 1); v != nil {
-		t.Fatalf("control guarantee violated: %+v", v)
+	if cert := certify(t, ctl, st, Protection{Kc: 1}); !cert.OK {
+		t.Fatalf("control guarantee violated: %s", cert.Summary())
 	}
 }
 
@@ -142,8 +152,8 @@ func TestControllerPriorities(t *testing.T) {
 		t.Fatalf("high class under-served: %v", states[0].State.TotalRate())
 	}
 	// High class keeps its data-plane guarantee.
-	if v := ctl.VerifyDataPlane(states[0].State, 1, 0); v != nil {
-		t.Fatalf("high class guarantee violated: %+v", v)
+	if cert := certify(t, ctl, states[0].State, Protection{Ke: 1}); !cert.OK {
+		t.Fatalf("high class guarantee violated: %s", cert.Summary())
 	}
 	// Low class fills remaining capacity (well above zero).
 	if states[1].State.TotalRate() <= 0 {
@@ -230,8 +240,8 @@ func TestFFCOnFatTree(t *testing.T) {
 	if st.TotalRate() <= 0 {
 		t.Fatal("no throughput on fat-tree")
 	}
-	if v := ctl.VerifyDataPlane(st, 1, 0); v != nil {
-		t.Fatalf("fat-tree FFC guarantee violated: %+v", v)
+	if cert := certify(t, ctl, st, Protection{Ke: 1}); !cert.OK {
+		t.Fatalf("fat-tree FFC guarantee violated: %s", cert.Summary())
 	}
 }
 

@@ -171,6 +171,33 @@ func TestControlMatchesCoreControlPlane(t *testing.T) {
 	}
 }
 
+// TestControlCertificateIsBitStable certifies random kc>0 plans again and
+// again: identical inputs must give bit-identical certificates, so the
+// per-link sums may not depend on map iteration order.
+func TestControlCertificateIsBitStable(t *testing.T) {
+	for trial := 0; trial < 60; trial++ {
+		rng := rand.New(rand.NewSource(int64(2500 + trial)))
+		net, set, flows := randomNet(rng, 5+rng.Intn(4), 6+rng.Intn(6))
+		prev := consistentRates(randomState(rng, set, flows, 0))
+		st := consistentRates(randomState(rng, set, flows, float64(trial%3)))
+		p := Params{Prot: core.Protection{Kc: 2}, RateLimiter: core.RateLimiterMode(trial % 3), Mode: Exact}
+		first, err := Certify(net, set, st, prev, p)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		for call := 1; call < 20; call++ {
+			cert, err := Certify(net, set, st, prev, p)
+			if err != nil {
+				t.Fatalf("trial %d: %v", trial, err)
+			}
+			if !certsEqual(first, cert) {
+				t.Fatalf("trial %d call %d: certificate changed between identical calls: worst slack %v, then %v\n%+v\n%+v",
+					trial, call, first.WorstSlack, cert.WorstSlack, first.Violation, cert.Violation)
+			}
+		}
+	}
+}
+
 // TestAdversarialAgreesWithExact: the adversarial search only evaluates
 // real fault cases, so it must never contradict an exact OK — and any
 // violation it reports must also be found exactly.

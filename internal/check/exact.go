@@ -165,11 +165,20 @@ func (c *checker) certifyControl(prev *core.State) controlResult {
 		src topology.SwitchID
 		d   float64
 	}
+	var srcs []topology.SwitchID
 	for _, l := range links {
 		res.cases++
+		// Sum in source order: a map-order float sum would make the
+		// certificate differ from call to call in its last bits.
+		srcs = srcs[:0]
+		for src := range perLink[l] {
+			srcs = append(srcs, src)
+		}
+		sort.Slice(srcs, func(i, j int) bool { return srcs[i] < srcs[j] })
 		var base float64
 		var deltas []delta
-		for src, ct := range perLink[l] {
+		for _, src := range srcs {
+			ct := perLink[l][src]
 			base += ct.newL
 			if d := ct.staleL - ct.newL; d > 0 {
 				deltas = append(deltas, delta{src, d})

@@ -5,8 +5,6 @@ import (
 	"sort"
 
 	"ffc/internal/lp"
-	"ffc/internal/obs"
-	"ffc/internal/parallel"
 	"ffc/internal/sortnet"
 	"ffc/internal/topology"
 	"ffc/internal/tunnel"
@@ -101,19 +99,12 @@ func (b *builder) demandFFC(u DemandUncertainty) error {
 
 // VerifyDemandUncertainty enumerates every set of up to count flows sending
 // factor × their planned rate (everyone else at plan) and returns the worst
-// overload, or nil when the state is robust. Exponential in count; for
-// tests and small networks. Cases are verified across all cores; use
-// VerifyDemandUncertaintyN to bound the worker count.
+// overload, or nil when the state is robust. Exponential in count.
+//
+// Like VerifyDataPlane, this is a serial reference oracle that no
+// production code calls; internal/check does not cover demand faults yet.
 func VerifyDemandUncertainty(net *topology.Network, tun *tunnel.Set, st *State,
 	count int, factor float64, capacity map[topology.LinkID]float64) *Violation {
-	return VerifyDemandUncertaintyN(net, tun, st, count, factor, capacity, 0)
-}
-
-// VerifyDemandUncertaintyN is VerifyDemandUncertainty sharded over workers
-// goroutines (≤ 0 means all cores); misprediction sets are the sharding
-// unit and the reduction preserves serial enumeration order.
-func VerifyDemandUncertaintyN(net *topology.Network, tun *tunnel.Set, st *State,
-	count int, factor float64, capacity map[topology.LinkID]float64, workers int) *Violation {
 
 	flows := make([]tunnel.Flow, 0, len(st.Rate))
 	for f := range st.Rate {
@@ -142,18 +133,12 @@ func VerifyDemandUncertaintyN(net *topology.Network, tun *tunnel.Set, st *State,
 			}
 		}
 	}
-	cases := combosUpTo(len(flows), count)
-	sp := obs.StartSpan("core.verify/demand")
-	defer sp.End()
-	obsVerifyDemandCases.Add(int64(len(cases)))
-	worst := make([]*Violation, len(cases))
-	parallel.ForEachWorkerObs("core.verify.demand", len(cases), verifyShardWorkers(workers, len(cases)), func(_, ci int) {
-		sel := cases[ci]
+	var worst *Violation
+	forEachComboUpTo(len(flows), count, func(sel []int) {
 		overdriven := make([]tunnel.Flow, len(sel))
 		for i, fi := range sel {
 			overdriven[i] = flows[fi]
 		}
-		var local *Violation
 		for _, l := range net.Links {
 			load := base[l.ID]
 			for _, i := range sel {
@@ -166,12 +151,11 @@ func VerifyDemandUncertaintyN(net *topology.Network, tun *tunnel.Set, st *State,
 				}
 			}
 			if overThreshold(load, c) {
-				if over := load - c; local == nil || over > local.Over {
-					local = &Violation{Case: fmt.Sprintf("overdriven=%v", overdriven), Link: l.ID, Over: over}
+				if over := load - c; worst == nil || over > worst.Over {
+					worst = &Violation{Case: fmt.Sprintf("overdriven=%v", overdriven), Link: l.ID, Over: over}
 				}
 			}
 		}
-		worst[ci] = local
 	})
-	return reduceWorst(worst)
+	return worst
 }

@@ -5,18 +5,8 @@ import (
 	"math"
 	"sort"
 
-	"ffc/internal/obs"
-	"ffc/internal/parallel"
 	"ffc/internal/topology"
 	"ffc/internal/tunnel"
-)
-
-// Fault-case totals per verifier — the denominators for the per-shard
-// timings ForEachWorkerObs records under core.verify.*.
-var (
-	obsVerifyDataCases   = obs.NewCounter("core.verify.dataplane.cases")
-	obsVerifyCtrlCases   = obs.NewCounter("core.verify.controlplane.cases")
-	obsVerifyDemandCases = obs.NewCounter("core.verify.demand.cases")
 )
 
 // Violation describes one fault case that overloads a link.
@@ -35,94 +25,34 @@ func overThreshold(load, cap float64) bool {
 	return load-cap > 1e-6*math.Max(1, cap)
 }
 
-// serialVerifyCases is the sharding-unit count below which the verifiers
-// stay on the serial path — fanning a handful of cases over a worker pool
-// costs more than it saves.
-const serialVerifyCases = 64
-
-// verifyShardWorkers picks the worker count for nCases sharding units.
-func verifyShardWorkers(workers, nCases int) int {
-	if nCases < serialVerifyCases {
-		return 1
-	}
-	return parallel.Workers(workers)
-}
-
-// combosUpTo materializes every index combination of size 0..k over [0,n)
-// in enumeration order — the verifiers' sharding unit. The slice is
-// proportional to the number of fault cases, which the per-case load
-// computation dominates anyway.
-func combosUpTo(n, k int) [][]int {
-	var out [][]int
-	forEachComboUpTo(n, k, func(sel []int) {
-		out = append(out, append([]int(nil), sel...))
-	})
-	return out
-}
-
-// reduceWorst folds per-shard worst violations in shard order with the
-// strictly-greater rule the serial scan uses, so the parallel verifiers
-// return the exact violation the serial enumeration would.
-func reduceWorst(vs []*Violation) *Violation {
-	var worst *Violation
-	for _, v := range vs {
-		if v != nil && (worst == nil || v.Over > worst.Over) {
-			worst = v
-		}
-	}
-	return worst
-}
-
 // VerifyDataPlane enumerates every fault case with up to ke physical link
 // failures and kv switch failures, applies ingress rescaling, and returns
 // the worst overload found (nil if the state is congestion-free in all
-// cases — the guarantee of Lemma 1). Exponential in (ke, kv); intended for
-// tests and small networks. Cases are verified across all cores; use
-// VerifyDataPlaneN to bound the worker count.
+// cases — the guarantee of Lemma 1). Ties keep the first case in
+// enumeration order. Exponential in (ke, kv).
+//
+// This is the serial brute-force reference oracle: no production code
+// calls it. Production plans are certified by internal/check, whose
+// differential tests (and core's own tests) compare against it.
 func VerifyDataPlane(net *topology.Network, tun *tunnel.Set, st *State, ke, kv int, capacity map[topology.LinkID]float64) *Violation {
-	return VerifyDataPlaneN(net, tun, st, ke, kv, capacity, 0)
-}
-
-// VerifyDataPlaneN is VerifyDataPlane sharded over workers goroutines
-// (≤ 0 means all cores). Link-failure combinations are the sharding unit;
-// each worker keeps its own load buffers and a local worst violation, and
-// the per-shard results are reduced in enumeration order, so the outcome is
-// identical to the serial enumeration regardless of worker count.
-func VerifyDataPlaneN(net *topology.Network, tun *tunnel.Set, st *State, ke, kv int, capacity map[topology.LinkID]float64, workers int) *Violation {
 	links := physicalLinks(net)
 	switches := make([]topology.SwitchID, 0, len(net.Switches))
 	for _, sw := range net.Switches {
 		switches = append(switches, sw.ID)
 	}
-	cases := combosUpTo(len(links), ke)
-	w := verifyShardWorkers(workers, len(cases))
-	sp := obs.StartSpan("core.verify/dataplane")
-	defer sp.End()
-	obsVerifyDataCases.Add(int64(len(cases)))
-
-	type buffers struct {
-		down  map[topology.LinkID]bool
-		loads map[topology.LinkID]float64
-	}
-	bufs := make([]buffers, w)
-	worst := make([]*Violation, len(cases))
-	parallel.ForEachWorkerObs("core.verify.dataplane", len(cases), w, func(worker, ci int) {
-		b := &bufs[worker]
-		if b.down == nil {
-			b.down = map[topology.LinkID]bool{}
-			b.loads = map[topology.LinkID]float64{}
-		}
-		clear(b.down)
-		li := cases[ci]
+	down := map[topology.LinkID]bool{}
+	loads := make([]float64, len(net.Links))
+	var worst *Violation
+	forEachComboUpTo(len(links), ke, func(li []int) {
+		clear(down)
 		linkIDs := make([]topology.LinkID, len(li))
 		for i, idx := range li {
 			linkIDs[i] = links[idx]
-			b.down[links[idx]] = true
+			down[links[idx]] = true
 			if tw := net.Links[links[idx]].Twin; tw != topology.None {
-				b.down[tw] = true
+				down[tw] = true
 			}
 		}
-		var local *Violation
 		forEachComboUpTo(len(switches), kv, func(si []int) {
 			downSw := make(map[topology.SwitchID]bool, len(si))
 			swIDs := make([]topology.SwitchID, len(si))
@@ -130,27 +60,25 @@ func VerifyDataPlaneN(net *topology.Network, tun *tunnel.Set, st *State, ke, kv 
 				swIDs[i] = switches[idx]
 				downSw[switches[idx]] = true
 			}
-			v := checkRescaledLoads(net, tun, st, b.down, downSw, capacity, b.loads)
-			if v != nil {
+			v := checkRescaledLoads(net, tun, st, down, downSw, capacity, loads)
+			if v != nil && (worst == nil || v.Over > worst.Over) {
 				v.Case = fmt.Sprintf("links=%v switches=%v", linkIDs, swIDs)
-				if local == nil || v.Over > local.Over {
-					local = v
-				}
+				worst = v
 			}
 		})
-		worst[ci] = local
 	})
-	return reduceWorst(worst)
+	return worst
 }
 
 // checkRescaledLoads computes per-link load after every ingress rescales
 // around the fault sets, skipping links that are themselves down, and
-// returns the worst overload (nil if none). Flows whose ingress or egress
-// switch failed send nothing. loads is the caller's scratch buffer (cleared
-// here), so repeated case checks don't reallocate it.
+// returns the worst overload (nil if none; ties go to the lowest link ID).
+// Flows whose ingress or egress switch failed send nothing. loads is the
+// caller's per-link scratch buffer (cleared here), so repeated case checks
+// don't reallocate it.
 func checkRescaledLoads(net *topology.Network, tun *tunnel.Set, st *State,
 	down map[topology.LinkID]bool, downSw map[topology.SwitchID]bool,
-	capacity map[topology.LinkID]float64, loads map[topology.LinkID]float64) *Violation {
+	capacity map[topology.LinkID]float64, loads []float64) *Violation {
 
 	clear(loads)
 	for _, f := range tun.All() {
@@ -170,8 +98,9 @@ func checkRescaledLoads(net *topology.Network, tun *tunnel.Set, st *State,
 		}
 	}
 	var worst *Violation
-	for l, load := range loads {
-		if down[l] {
+	for i, load := range loads {
+		l := topology.LinkID(i)
+		if load == 0 || down[l] {
 			continue
 		}
 		c := net.Links[l].Capacity
@@ -193,20 +122,12 @@ func checkRescaledLoads(net *topology.Network, tun *tunnel.Set, st *State,
 // configuration update fails. A failed switch keeps old tunnel-splitting
 // weights per the rate-limiter mode; per-flow the adversary picks whichever
 // of old/new behavior loads each link more (a sound upper bound on any
-// realizable combination). Returns the worst overload, or nil. Cases are
-// verified across all cores; use VerifyControlPlaneN to bound the worker
-// count.
+// realizable combination). Returns the worst overload, or nil.
+//
+// Like VerifyDataPlane, this is a serial reference oracle that no
+// production code calls.
 func VerifyControlPlane(net *topology.Network, tun *tunnel.Set, newSt, oldSt *State,
 	kc int, mode RateLimiterMode, capacity map[topology.LinkID]float64) *Violation {
-	return VerifyControlPlaneN(net, tun, newSt, oldSt, kc, mode, capacity, 0)
-}
-
-// VerifyControlPlaneN is VerifyControlPlane sharded over workers goroutines
-// (≤ 0 means all cores); stale-switch-set combinations are the sharding
-// unit and the reduction preserves serial enumeration order, so the result
-// is identical at any worker count.
-func VerifyControlPlaneN(net *topology.Network, tun *tunnel.Set, newSt, oldSt *State,
-	kc int, mode RateLimiterMode, capacity map[topology.LinkID]float64, workers int) *Violation {
 
 	// Per-link per-source contributions under "updated" and "stale".
 	type key struct {
@@ -248,20 +169,14 @@ func VerifyControlPlaneN(net *topology.Network, tun *tunnel.Set, newSt, oldSt *S
 	}
 	sort.Slice(srcs, func(i, j int) bool { return srcs[i] < srcs[j] })
 
-	cases := combosUpTo(len(srcs), kc)
-	sp := obs.StartSpan("core.verify/controlplane")
-	defer sp.End()
-	obsVerifyCtrlCases.Add(int64(len(cases)))
-	worst := make([]*Violation, len(cases))
-	parallel.ForEachWorkerObs("core.verify.controlplane", len(cases), verifyShardWorkers(workers, len(cases)), func(_, ci int) {
-		sel := cases[ci]
+	var worst *Violation
+	forEachComboUpTo(len(srcs), kc, func(sel []int) {
 		failed := make(map[topology.SwitchID]bool, len(sel))
 		failedIDs := make([]topology.SwitchID, len(sel))
 		for i, idx := range sel {
 			failedIDs[i] = srcs[idx]
 			failed[srcs[idx]] = true
 		}
-		var local *Violation
 		for _, l := range net.Links {
 			var load float64
 			for _, v := range srcs {
@@ -278,14 +193,13 @@ func VerifyControlPlaneN(net *topology.Network, tun *tunnel.Set, newSt, oldSt *S
 				}
 			}
 			if overThreshold(load, c) {
-				if over := load - c; local == nil || over > local.Over {
-					local = &Violation{Case: fmt.Sprintf("failed=%v link=%d", failedIDs, l.ID), Link: l.ID, Over: over}
+				if over := load - c; worst == nil || over > worst.Over {
+					worst = &Violation{Case: fmt.Sprintf("failed=%v link=%d", failedIDs, l.ID), Link: l.ID, Over: over}
 				}
 			}
 		}
-		worst[ci] = local
 	})
-	return reduceWorst(worst)
+	return worst
 }
 
 func physicalLinks(net *topology.Network) []topology.LinkID {

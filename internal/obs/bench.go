@@ -206,9 +206,11 @@ type Regression struct {
 // Entries tagged BenchTagDegraded — on either side — are excluded from
 // gating entirely: degraded-mode timings measure the fallback path, not
 // solver performance. Such current entries are returned in ignored, and
-// such baseline entries contribute nothing to the reference.
-// A regression is current > maxRatio × baseline.
-func CompareBench(baselines []*BenchFile, current *BenchFile, maxRatio float64) (regs []Regression, matched, unmatched, ignored []string) {
+// such baseline entries contribute nothing to the reference. Baseline
+// names no current entry carries are returned in missing (sorted): a
+// renamed or deleted benchmark loses its gate, and the caller should say
+// so. A regression is current > maxRatio × baseline.
+func CompareBench(baselines []*BenchFile, current *BenchFile, maxRatio float64) (regs []Regression, matched, unmatched, ignored, missing []string) {
 	base := map[string]float64{}
 	for _, b := range baselines {
 		if b == nil {
@@ -223,8 +225,10 @@ func CompareBench(baselines []*BenchFile, current *BenchFile, maxRatio float64) 
 			}
 		}
 	}
+	ran := map[string]bool{}
 	for i := range current.Benchmarks {
 		e := &current.Benchmarks[i]
+		ran[e.Name] = true
 		if e.Tagged(BenchTagDegraded) {
 			ignored = append(ignored, e.Name)
 			continue
@@ -244,6 +248,12 @@ func CompareBench(baselines []*BenchFile, current *BenchFile, maxRatio float64) 
 			})
 		}
 	}
+	for name, ref := range base {
+		if ref > 0 && !ran[name] {
+			missing = append(missing, name)
+		}
+	}
+	sort.Strings(missing)
 	sort.Slice(regs, func(i, j int) bool { return regs[i].Ratio > regs[j].Ratio })
-	return regs, matched, unmatched, ignored
+	return regs, matched, unmatched, ignored, missing
 }

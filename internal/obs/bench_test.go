@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -151,17 +152,44 @@ func TestCompareBench(t *testing.T) {
 		{Name: "Slow", NsPerOp: 2500}, // 2500 > 2×1000 → regression
 		{Name: "New", NsPerOp: 42},    // no baseline → unmatched, never gated
 	}}
-	regs, matched, unmatched, ignored := CompareBench([]*BenchFile{base1, nil, base2}, cur, 2.0)
-	if len(matched) != 2 || len(unmatched) != 1 || unmatched[0] != "New" || len(ignored) != 0 {
-		t.Fatalf("matched=%v unmatched=%v ignored=%v", matched, unmatched, ignored)
+	regs, matched, unmatched, ignored, missing := CompareBench([]*BenchFile{base1, nil, base2}, cur, 2.0)
+	if len(matched) != 2 || len(unmatched) != 1 || unmatched[0] != "New" || len(ignored) != 0 || len(missing) != 0 {
+		t.Fatalf("matched=%v unmatched=%v ignored=%v missing=%v", matched, unmatched, ignored, missing)
 	}
 	if len(regs) != 1 || regs[0].Name != "Slow" || regs[0].Ratio != 2.5 || regs[0].BaselineNs != 1000 {
 		t.Fatalf("regressions: %+v", regs)
 	}
 	// Tighten the gate and Fast regresses too; order is worst-first.
-	regs, _, _, _ = CompareBench([]*BenchFile{base1, base2}, cur, 1.5)
+	regs, _, _, _, _ = CompareBench([]*BenchFile{base1, base2}, cur, 1.5)
 	if len(regs) != 2 || regs[0].Name != "Slow" || regs[1].Name != "Fast" {
 		t.Fatalf("regressions (1.5x gate): %+v", regs)
+	}
+}
+
+// TestCompareBenchReportsMissingBaselines: a baseline entry no current
+// benchmark carries (renamed, deleted, or simply not run) is listed, in
+// name order, and never fails the gate; a degraded baseline entry gates
+// nothing and so is not listed.
+func TestCompareBenchReportsMissingBaselines(t *testing.T) {
+	base := &BenchFile{Schema: 1, Label: "a", Benchmarks: []BenchEntry{
+		{Name: "Kept", NsPerOp: 100},
+		{Name: "Renamed", NsPerOp: 100},
+		{Name: "Deleted", NsPerOp: 100},
+		{Name: "Flaky", NsPerOp: 100, Tags: []string{BenchTagDegraded}},
+	}}
+	cur := &BenchFile{Schema: 1, Label: "ci", Benchmarks: []BenchEntry{
+		{Name: "Kept", NsPerOp: 110},
+		{Name: "RenamedV2", NsPerOp: 100},
+	}}
+	regs, matched, unmatched, _, missing := CompareBench([]*BenchFile{base}, cur, 2.0)
+	if len(regs) != 0 {
+		t.Fatalf("missing baselines must not fail the gate: %+v", regs)
+	}
+	if len(matched) != 1 || len(unmatched) != 1 || unmatched[0] != "RenamedV2" {
+		t.Fatalf("matched=%v unmatched=%v", matched, unmatched)
+	}
+	if want := []string{"Deleted", "Renamed"}; !reflect.DeepEqual(missing, want) {
+		t.Fatalf("missing = %v, want %v", missing, want)
 	}
 }
 
@@ -177,22 +205,22 @@ func TestCompareBenchIgnoresDegradedEntries(t *testing.T) {
 		{Name: "Solve", NsPerOp: 10000, Tags: []string{BenchTagDegraded}},
 		{Name: "Other", NsPerOp: 150},
 	}}
-	regs, matched, unmatched, ignored := CompareBench([]*BenchFile{base}, cur, 2.0)
+	regs, matched, unmatched, ignored, missing := CompareBench([]*BenchFile{base}, cur, 2.0)
 	if len(regs) != 0 {
 		t.Fatalf("degraded entry gated: %+v", regs)
 	}
 	if len(ignored) != 1 || ignored[0] != "Solve" {
 		t.Fatalf("ignored = %v, want [Solve]", ignored)
 	}
-	if len(matched) != 1 || matched[0] != "Other" || len(unmatched) != 0 {
-		t.Fatalf("matched=%v unmatched=%v", matched, unmatched)
+	if len(matched) != 1 || matched[0] != "Other" || len(unmatched) != 0 || len(missing) != 0 {
+		t.Fatalf("matched=%v unmatched=%v missing=%v", matched, unmatched, missing)
 	}
 	// Degraded baseline excluded: a clean current entry gates against the
 	// clean 100, not the degraded 5000.
 	cur2 := &BenchFile{Schema: 1, Label: "ci", Benchmarks: []BenchEntry{
 		{Name: "Other", NsPerOp: 900},
 	}}
-	regs, _, _, _ = CompareBench([]*BenchFile{base}, cur2, 2.0)
+	regs, _, _, _, _ = CompareBench([]*BenchFile{base}, cur2, 2.0)
 	if len(regs) != 1 || regs[0].BaselineNs != 100 {
 		t.Fatalf("degraded baseline leaked into the reference: %+v", regs)
 	}

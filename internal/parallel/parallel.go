@@ -4,9 +4,9 @@
 // which keeps every parallel path bit-identical to its serial counterpart
 // (the reduction over slots happens in index order afterwards).
 //
-// The verifiers in internal/core shard fault-case enumeration through it,
-// and the experiment harness (internal/experiments, internal/sim) shards
-// independent TE intervals and scenario replays.
+// The experiment harness (internal/experiments, internal/sim) shards
+// independent TE intervals and scenario replays through it, and
+// internal/core fans LP constraint emission out over it.
 package parallel
 
 import (
@@ -26,23 +26,16 @@ func Workers(n int) int {
 
 // ForEach invokes fn(i) exactly once for every i in [0,n), fanned out over
 // Workers(w) goroutines. With one worker it runs inline in index order.
-// fn must confine its writes to per-index (or per-worker) state; results
-// written by slot are deterministic regardless of scheduling.
+// fn must confine its writes to per-index state; results written by slot
+// are deterministic regardless of scheduling.
 func ForEach(n, w int, fn func(i int)) {
-	ForEachWorker(n, w, func(_, i int) { fn(i) })
-}
-
-// ForEachWorker is ForEach with the worker's identity passed to fn
-// (0 ≤ worker < effective worker count), so callers can reuse per-worker
-// scratch buffers across the indices a worker processes.
-func ForEachWorker(n, w int, fn func(worker, i int)) {
 	w = Workers(w)
 	if w > n {
 		w = n
 	}
 	if w <= 1 {
 		for i := 0; i < n; i++ {
-			fn(0, i)
+			fn(i)
 		}
 		return
 	}
@@ -50,16 +43,16 @@ func ForEachWorker(n, w int, fn func(worker, i int)) {
 	var wg sync.WaitGroup
 	wg.Add(w)
 	for g := 0; g < w; g++ {
-		go func(worker int) {
+		go func() {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				fn(worker, i)
+				fn(i)
 			}
-		}(g)
+		}()
 	}
 	wg.Wait()
 }
